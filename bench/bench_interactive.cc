@@ -3,8 +3,7 @@
 // DesignSession warmed over the SDSS 30-query workload re-plans only the
 // queries referencing the delta's table, while the stateless
 // Parinda::EvaluateDesign re-plans everything. This bench reports planner
-// invocations and wall-clock for a single-index delta, both in the exact
-// (invalidation-only) mode and the INUM-recomposition mode, and enforces the
+// invocations and wall-clock for a single-index delta and enforces the
 // >= 5x planner-call reduction acceptance bar.
 #include <benchmark/benchmark.h>
 
@@ -104,26 +103,6 @@ void RunInteractive() {
   PARINDA_CHECK(inc_report->average_benefit_pct ==
                 full_report->average_benefit_pct);
 
-  // INUM mode: after warming on the same delta table, a further index delta
-  // is recomposed from INUM's cache with no planner calls at all.
-  DesignSessionOptions inum_options;
-  inum_options.inum_index_deltas = true;
-  DesignSession inum_session(db->catalog(), &*workload, inum_options);
-  PARINDA_CHECK_OK(inum_session.AddIndex(warm));
-  PARINDA_CHECK_OK(inum_session.Evaluate());
-  PARINDA_CHECK_OK(inum_session.AddIndex(delta));
-  PARINDA_CHECK_OK(inum_session.Evaluate());  // fills the INUM cache
-  WhatIfIndexDef delta2 = delta;
-  delta2.name = "eint_field_idx2";
-  delta2.columns = {db->catalog().GetTable(delta.table)->schema.FindColumn(
-      "run")};
-  PARINDA_CHECK_OK(inum_session.AddIndex(delta2));
-  const auto inum_start = std::chrono::steady_clock::now();
-  PARINDA_CHECK_OK(inum_session.Evaluate());
-  const double inum_seconds = Seconds(inum_start);
-  const int64_t inum_calls = inum_session.last_eval_planner_calls();
-  const int inum_recosts = inum_session.last_eval_inum_recosts();
-
   std::printf("%-28s %14s %14s %12s\n", "path", "planner calls", "seconds",
               "speedup");
   std::printf("%-28s %14lld %14.4f %12s\n", "full (stateless)",
@@ -131,9 +110,6 @@ void RunInteractive() {
   std::printf("%-28s %14lld %14.4f %11.1fx\n", "incremental (exact)",
               static_cast<long long>(inc_calls), inc_seconds,
               full_seconds / inc_seconds);
-  std::printf("%-28s %14lld %14.4f %11.1fx  (%d INUM recosts)\n",
-              "incremental (INUM)", static_cast<long long>(inum_calls),
-              inum_seconds, full_seconds / inum_seconds, inum_recosts);
 
   // Acceptance bars: re-plan count bounded by the delta table's fan-in, and
   // >= 5x fewer planner calls than the full path.
@@ -152,10 +128,6 @@ void RunInteractive() {
                                                                  : 1));
   bench_util::RecordMetric("eint.full_seconds", full_seconds);
   bench_util::RecordMetric("eint.incremental_seconds", inc_seconds);
-  bench_util::RecordMetric("eint.inum_planner_calls",
-                           static_cast<double>(inum_calls));
-  bench_util::RecordMetric("eint.inum_recosts", inum_recosts);
-  bench_util::RecordMetric("eint.inum_seconds", inum_seconds);
 }
 
 /// One add-evaluate-drop-evaluate cycle on a warmed session.

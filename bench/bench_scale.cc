@@ -1,15 +1,14 @@
 // E10 — large-workload scaling (DESIGN.md §15). Expands the 30 SDSS
-// templates into thousand-query workloads and sweeps the three scaling
-// features — workload compression, sparse benefit rows, the incremental
-// branch-and-bound solver — as ablation arms. Every arm must produce the
-// bit-identical advice; the features only change how fast it is computed.
+// templates into thousand-query workloads and sweeps two of the scaling
+// features — workload compression and the incremental branch-and-bound
+// solver — as ablation arms. Every arm must produce the bit-identical
+// advice; the features only change how fast it is computed.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "advisor/index_advisor.h"
 #include "autopart/autopart.h"
@@ -38,7 +37,7 @@ Workload ScaledWorkload(const Database& db, int num_queries) {
 }
 
 /// One pipeline run: index advice (static greedy over the benefit matrix)
-/// plus partition advice, under one ablation setting.
+/// plus partition advice, with workload compression on or off.
 struct PipelineResult {
   double wall_ms = 0.0;
   IndexAdvice indexes;
@@ -46,12 +45,11 @@ struct PipelineResult {
 };
 
 PipelineResult RunPipeline(const Database& db, const Workload& workload,
-                           bool compress, bool sparse) {
+                           bool compress) {
   PipelineResult out;
   const auto start = std::chrono::steady_clock::now();
   IndexAdvisorOptions advisor_options;
   advisor_options.compress = compress;
-  advisor_options.sparse_benefit = sparse;
   IndexAdvisor advisor(db.catalog(), workload, advisor_options);
   auto index_advice = advisor.SuggestWithStaticGreedy();
   PARINDA_CHECK_OK(index_advice);
@@ -102,14 +100,14 @@ bool SameAdvice(const PipelineResult& a, const PipelineResult& b) {
 void RunSizeSweep() {
   Database* db = bench_util::SharedSdss(20000);
   bench_util::PrintHeader(
-      "E10a: workload size sweep, full scaling pipeline (compress + sparse)");
+      "E10a: workload size sweep, full scaling pipeline");
   std::printf("%-8s %10s %10s %12s %12s\n", "queries", "distinct", "ratio",
               "sparse nnz", "wall (ms)");
   for (const int n : {500, 1000, 2000}) {
     const Workload workload = ScaledWorkload(*db, n);
     const CompressedWorkload compressed =
         CompressWorkload(db->catalog(), workload);
-    const PipelineResult full = RunPipeline(*db, workload, true, true);
+    const PipelineResult full = RunPipeline(*db, workload, true);
     const int64_t nnz =
         metrics::Registry::Global().gauge("advisor.sparse_nnz").value();
     std::printf("%-8d %10d %9.1fx %12lld %12.1f\n", n,
@@ -130,39 +128,19 @@ void RunAblation() {
   const int kQueries = 2000;
   const Workload workload = ScaledWorkload(*db, kQueries);
   bench_util::PrintHeader(
-      "E10b ablation: 2000-query pipeline, features on vs off");
-  struct Arm {
-    const char* name;
-    bool compress;
-    bool sparse;
-  };
-  const Arm arms[] = {
-      {"full", true, true},
-      {"no-compress", false, true},
-      {"dense", true, false},
-      {"all-off", false, false},
-  };
-  std::printf("%-14s %12s %10s %10s\n", "arm", "wall (ms)", "speedup",
-              "identical");
-  std::vector<PipelineResult> results;
-  for (const Arm& arm : arms) {
-    results.push_back(RunPipeline(*db, workload, arm.compress, arm.sparse));
-  }
-  const double full_ms = results[0].wall_ms;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const bool identical = SameAdvice(results[0], results[i]);
-    PARINDA_CHECK(identical);
-    std::printf("%-14s %12.1f %9.2fx %10s\n", arms[i].name,
-                results[i].wall_ms, results[i].wall_ms / full_ms,
-                identical ? "yes" : "no");
-  }
-  const double off_ms = results[3].wall_ms;
+      "E10b ablation: 2000-query pipeline, compression on vs off");
+  const PipelineResult full = RunPipeline(*db, workload, true);
+  const PipelineResult off = RunPipeline(*db, workload, false);
+  PARINDA_CHECK(SameAdvice(full, off));
+  const double full_ms = full.wall_ms;
+  const double off_ms = off.wall_ms;
+  std::printf("%-14s %12s %10s\n", "arm", "wall (ms)", "speedup");
+  std::printf("%-14s %12.1f %9.2fx\n", "full", full_ms, 1.0);
+  std::printf("%-14s %12.1f %9.2fx\n", "all-off", off_ms, off_ms / full_ms);
   std::printf("full pipeline vs all-off: %.2fx faster, advice identical\n",
               off_ms / full_ms);
   bench_util::RecordMetric("e10b.queries", kQueries);
   bench_util::RecordMetric("e10b.full_ms", full_ms);
-  bench_util::RecordMetric("e10b.no_compress_ms", results[1].wall_ms);
-  bench_util::RecordMetric("e10b.dense_ms", results[2].wall_ms);
   bench_util::RecordMetric("e10b.all_off_ms", off_ms);
   bench_util::RecordMetric("e10b.speedup", off_ms / full_ms);
   bench_util::RecordMetric("e10b.advice_identical", 1.0);
@@ -255,7 +233,7 @@ void BM_ScaledPipeline(benchmark::State& state) {
   const Workload workload =
       ScaledWorkload(*db, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const PipelineResult result = RunPipeline(*db, workload, true, true);
+    const PipelineResult result = RunPipeline(*db, workload, true);
     benchmark::DoNotOptimize(result.indexes.optimized_cost);
   }
 }

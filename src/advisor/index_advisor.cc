@@ -80,7 +80,7 @@ Status IndexAdvisor::Prepare() {
 
   const int nq = eval_workload_->size();
   const int nc = static_cast<int>(candidates_.size());
-  bank_ = std::make_unique<InumBank>(catalog_, *eval_workload_);
+  bank_ = std::make_unique<InumBank>(catalog_, *eval_workload_, ctx_.params);
   // Pre-sized per-query slots: each worker builds and owns query q's cost
   // model (the bank's slot-disjoint contract) and writes only base_cost_[q]
   // / benefit_ row q, so the matrix is bit-identical under any parallelism
@@ -89,16 +89,15 @@ Status IndexAdvisor::Prepare() {
   // construction, and WaitAll()'s pool mutex is the one happens-before edge
   // the readers need before the serial selection scan.
   base_cost_.assign(static_cast<size_t>(nq), 0.0);
-  benefit_.Reset(nq, nc, options_.sparse_benefit);
+  benefit_.Reset(nq);
   row_complete_.assign(static_cast<size_t>(nq), 0);
   Status fill = ParallelFor(
       ResolveParallelism(ctx_.parallelism), nq, [&](int q) -> Status {
         PARINDA_FAILPOINT("advisor.matrix");
         // Workers observe the shared budget; an expired deadline fails the
         // row, and ParallelFor's cancel-on-error drains the rest promptly.
-        PARINDA_ASSIGN_OR_RETURN(
-            InumCostModel * model,
-            bank_->Model(q, ctx_.params, &options_.deadline));
+        PARINDA_ASSIGN_OR_RETURN(InumCostModel * model,
+                                 bank_->Model(q, &options_.deadline));
         PARINDA_ASSIGN_OR_RETURN(base_cost_[q], model->EstimateCost({}));
         // Tables of this query, to skip irrelevant candidates fast.
         std::set<TableId> tables;
@@ -333,8 +332,9 @@ void IndexAdvisor::SelectStaticGreedy(
   const int nc = static_cast<int>(candidates_.size());
   // Stand-alone benefit of each candidate, accumulated over the ORIGINAL
   // queries in ascending order (each adding its representative's gain times
-  // its own weight) — the same addition sequence as the uncompressed dense
-  // scan, minus the bitwise-neutral zero terms.
+  // its own weight) — the same addition sequence as a scan of every
+  // (query, candidate) pair of the uncompressed workload, minus the
+  // bitwise-neutral zero terms.
   std::vector<double> score(static_cast<size_t>(nc), 0.0);
   for (int q = 0; q < nq; ++q) {
     const int rep = RepOf(q);

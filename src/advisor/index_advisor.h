@@ -60,9 +60,6 @@ struct IndexAdvisorOptions {
   /// reported double included) is bit-identical to the uncompressed run.
   /// Off = the ablation arm for bench_scale.
   bool compress = true;
-  /// Sparse (CSR-style) benefit rows instead of the dense nq x nc grid.
-  /// Same entries either way; off = the dense ablation arm.
-  bool sparse_benefit = true;
 };
 
 /// One suggested index with its report fields (Figure 3's per-index view).

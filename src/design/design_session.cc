@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -18,20 +17,6 @@ namespace parinda {
 
 PARINDA_REGISTER_FAILPOINT("design.evaluate");
 
-namespace {
-
-bool Intersects(const std::vector<TableId>& tables,
-                const std::vector<TableId>& touched) {
-  for (TableId t : touched) {
-    if (std::find(tables.begin(), tables.end(), t) != tables.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 DesignSession::DesignSession(const CatalogReader& catalog,
                              const Workload* workload,
                              DesignSessionOptions options)
@@ -39,18 +24,11 @@ DesignSession::DesignSession(const CatalogReader& catalog,
   if (options_.memory_budget_bytes > 0) {
     governor_ = std::make_unique<CacheGovernor>(
         MemoryBudget{options_.memory_budget_bytes});
-    // Callbacks capture `this`: RebuildQueryStates swaps the caches out, so
-    // they must re-check liveness rather than capture the caches directly.
+    // The callback captures `this`: RebuildQueryStates swaps the evaluator
+    // out, so it must re-check liveness rather than capture the cache.
     evaluator_shard_ =
         governor_->RegisterShard("evaluator", [this](const std::string& id) {
           if (evaluator_ != nullptr) evaluator_->EraseCacheEntry(id);
-        });
-    bank_shard_ =
-        governor_->RegisterShard("inum_bank", [this](const std::string& id) {
-          if (inum_bank_ != nullptr) {
-            inum_bank_->EvictSlot(
-                static_cast<int>(std::strtol(id.c_str(), nullptr, 10)));
-          }
         });
   }
   overlay_ = std::make_unique<ComposedOverlay>(catalog_, options_.params);
@@ -97,10 +75,27 @@ Status DesignSession::Drop(OverlayId id) {
     return Status::NotFound("no design feature with id " + std::to_string(id));
   }
   const std::vector<char> was_pending = PendingSnapshot();
+  const std::vector<ComponentEntry> before = Components();
   const size_t pos = static_cast<size_t>(it - entries_.begin());
   Entry removed = std::move(*it);
   entries_.erase(it);
   Status composed = Recompose();
+  if (composed.ok()) {
+    // What-if fragment ids are positional (composition order), so dropping
+    // a partition can move a remaining feature that names a later fragment
+    // by id onto another fragment. Refuse any drop that changes what a
+    // remaining feature refers to.
+    const std::vector<ComponentEntry> after = Components();
+    for (size_t i = 0; i < after.size(); ++i) {
+      const std::string& was = before[i < pos ? i : i + 1].description;
+      if (after[i].description != was) {
+        composed = Status::FailedPrecondition(
+            "dropping feature " + std::to_string(id) + " would turn '" + was +
+            "' into '" + after[i].description + "'; drop that feature first");
+        break;
+      }
+    }
+  }
   if (!composed.ok()) {
     // E.g. dropping a partition while an index on its fragment remains.
     entries_.insert(entries_.begin() + static_cast<ptrdiff_t>(pos),
@@ -138,16 +133,12 @@ Status DesignSession::Recompose() {
   // order. Touched tables resolve through the *composed* catalog (an index
   // on a what-if fragment depends on the fragment's base parent).
   units_.clear();
-  nonindex_units_.clear();
   for (const Entry& entry : entries_) {
     OverlayUnit unit;
     unit.tables = entry.component->TouchedTables(overlay_->catalog());
     std::sort(unit.tables.begin(), unit.tables.end());
     unit.signature = std::string(OverlayKindName(entry.component->kind())) +
                      ":" + entry.component->Signature();
-    if (entry.component->kind() != OverlayKind::kIndex) {
-      nonindex_units_.push_back(unit);
-    }
     units_.push_back(std::move(unit));
   }
   return Status::OK();
@@ -156,43 +147,22 @@ Status DesignSession::Recompose() {
 void DesignSession::RebuildQueryStates() {
   queries_.clear();
   evaluator_.reset();
-  inum_bank_.reset();
   if (governor_ != nullptr) {
-    // The caches just vanished wholesale; drop their tracked entries without
-    // firing the eviction callbacks.
+    // The cache just vanished wholesale; drop its tracked entries without
+    // firing the eviction callback.
     governor_->ForgetShard(evaluator_shard_);
-    governor_->ForgetShard(bank_shard_);
   }
-  const int nq = workload_ == nullptr ? 0 : workload_->size();
   if (workload_ != nullptr) {
     evaluator_ = std::make_unique<WorkloadEvaluator>(catalog_, *workload_);
-    inum_bank_ = std::make_unique<InumBank>(catalog_, *workload_);
     if (governor_ != nullptr) {
       evaluator_->set_governor(governor_.get(), evaluator_shard_);
-      inum_bank_->set_governor(governor_.get(), bank_shard_);
     }
   }
-  queries_.resize(static_cast<size_t>(nq));
-  for (int q = 0; q < nq; ++q) {
-    QueryState& qs = queries_[static_cast<size_t>(q)];
-    // First-reference order (not the evaluator's sorted sets): the INUM
-    // configuration below is assembled in this order, as it always was.
-    for (const TableRef& ref : workload_->queries[q].stmt.from) {
-      if (ref.bound_table == kInvalidTableId) continue;
-      if (std::find(qs.tables.begin(), qs.tables.end(), ref.bound_table) ==
-          qs.tables.end()) {
-        qs.tables.push_back(ref.bound_table);
-      }
-    }
-  }
+  queries_.resize(workload_ == nullptr ? 0 : workload_->queries.size());
 }
 
 std::string DesignSession::CurrentKey(int q) const {
   return evaluator_->KeyFor(q, units_, options_.params);
-}
-
-std::string DesignSession::CurrentNonIndexKey(int q) const {
-  return evaluator_->KeyFor(q, nonindex_units_, options_.params);
 }
 
 bool DesignSession::Pending(int q) const {
@@ -218,46 +188,6 @@ void DesignSession::CountInvalidations(const std::vector<char>& was_pending) {
   }
 }
 
-bool DesignSession::InumEligible(int q, const QueryState& qs) const {
-  // Every delta since the stored cost must have been an index delta...
-  if (!qs.has_value || qs.stored_nonindex_key != CurrentNonIndexKey(q)) {
-    return false;
-  }
-  // ...and no table/range component may sit on any of this query's tables:
-  // those change the catalog content (or the rewrite) of the queries they
-  // touch, and INUM models the base catalog.
-  for (const Entry& entry : entries_) {
-    const OverlayKind kind = entry.component->kind();
-    if (kind != OverlayKind::kTable && kind != OverlayKind::kRangePartition) {
-      continue;
-    }
-    const std::vector<TableId> touched =
-        entry.component->TouchedTables(overlay_->catalog());
-    if (touched.empty() || Intersects(qs.tables, touched)) return false;
-  }
-  return true;
-}
-
-Result<double> DesignSession::InumRecost(int q, const QueryState& qs) {
-  // The bank rebuilds the model when the composed params changed (join-flag
-  // deltas); the session never arms a deadline here — INUM recosting is the
-  // cheap path, and budget policing happens per query in Evaluate().
-  PARINDA_ASSIGN_OR_RETURN(InumCostModel * model,
-                           inum_bank_->Model(q, overlay_->params(), nullptr));
-  // The configuration the full path would see: the real indexes plus this
-  // design's what-if indexes, per referenced table.
-  std::vector<const IndexInfo*> config;
-  for (TableId t : qs.tables) {
-    for (const IndexInfo* index : catalog_.TableIndexes(t)) {
-      config.push_back(index);
-    }
-    for (const IndexInfo* index : overlay_->index_set().IndexesFor(t)) {
-      config.push_back(index);
-    }
-  }
-  return model->EstimateCost(config);
-}
-
 Result<InteractiveReport> DesignSession::Evaluate() {
   PARINDA_FAILPOINT("design.evaluate");
   const auto fp_before = failpoint::AllHits();
@@ -265,7 +195,6 @@ Result<InteractiveReport> DesignSession::Evaluate() {
   const int64_t plans_before = Planner::stats().plans_built;
   const int64_t evictions_before =
       governor_ != nullptr ? governor_->stats().evictions : 0;
-  last_eval_inum_recosts_ = 0;
 
   const int nq = workload_ == nullptr ? 0 : workload_->size();
   PARINDA_CHECK(static_cast<int>(queries_.size()) == nq);
@@ -310,41 +239,20 @@ Result<InteractiveReport> DesignSession::Evaluate() {
       truncated = true;
       break;
     }
-    static metrics::Counter& eval_incremental =
-        metrics::Registry::Global().counter("design.eval_incremental");
     static metrics::Counter& eval_full =
         metrics::Registry::Global().counter("design.eval_full");
-    bool served = false;
-    if (options_.inum_index_deltas && InumEligible(q, qs)) {
-      // Index deltas never change the rewrite, so the cached rewritten_sql
-      // (set by the prior full evaluation) stays correct. INUM's recomposed
-      // cost is approximate and therefore never enters the engine's exact
-      // cost cache — it lives only in this session's per-query state.
-      Result<double> cost = InumRecost(q, qs);
-      if (cost.ok()) {
-        qs.whatif_cost = *cost;
-        ++last_eval_inum_recosts_;
-        eval_incremental.Increment();
-        served = true;
-      }
-      // On INUM failure (e.g. a query shape it cannot model) fall through to
-      // the exact path rather than failing the evaluation.
-    }
-    if (!served) {
-      eval_full.Increment();
-      WorkloadEvaluator::OverlayView view;
-      view.catalog = &overlay_->catalog();
-      view.fragments = &overlay_->fragments();
-      view.hooks = &overlay_->hooks();
-      view.params = overlay_->params();
-      PARINDA_ASSIGN_OR_RETURN(WorkloadEvaluator::QueryEval eval,
-                               evaluator_->EvaluateQuery(q, view, key));
-      qs.whatif_cost = eval.cost;
-      qs.rewritten_sql = std::move(eval.rewritten_sql);
-    }
+    eval_full.Increment();
+    WorkloadEvaluator::OverlayView view;
+    view.catalog = &overlay_->catalog();
+    view.fragments = &overlay_->fragments();
+    view.hooks = &overlay_->hooks();
+    view.params = overlay_->params();
+    PARINDA_ASSIGN_OR_RETURN(WorkloadEvaluator::QueryEval eval,
+                             evaluator_->EvaluateQuery(q, view, key));
+    qs.whatif_cost = eval.cost;
+    qs.rewritten_sql = std::move(eval.rewritten_sql);
     qs.has_value = true;
     qs.stored_key = key;
-    qs.stored_nonindex_key = CurrentNonIndexKey(q);
   }
   whatif_timer.Stop();
   if (truncated) degradation.AddFallback("evaluate:truncated");

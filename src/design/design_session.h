@@ -12,7 +12,6 @@
 #include "engine/advice.h"
 #include "engine/cache_governor.h"
 #include "engine/cache_spill.h"
-#include "engine/inum_bank.h"
 #include "engine/workload_evaluator.h"
 #include "workload/workload.h"
 
@@ -39,26 +38,17 @@ using OverlayId = int64_t;
 
 struct DesignSessionOptions {
   CostParams params;
-  /// When true, a query invalidated *only* by index deltas (and whose tables
-  /// carry no table/range-partition components) is re-costed through INUM
-  /// plan recomposition (§3.4) instead of full re-optimization. INUM's
-  /// recomposed cost is a close approximation, not bit-identical to the
-  /// planner's, so this is opt-in; with the default (false) the session is
-  /// exact — invalidation alone already skips every untouched query, which
-  /// is where the interactive-latency win comes from.
-  bool inum_index_deltas = false;
-  /// Time budget consulted by Evaluate() before each per-query planner or
-  /// INUM call. On expiry the evaluation stops re-costing: already-finished
+  /// Time budget consulted by Evaluate() before each per-query planner
+  /// call. On expiry the evaluation stops re-costing: already-finished
   /// queries report fresh costs, the rest keep their previous values and
   /// stay pending, and the report is marked degraded. Re-arm per call with
   /// DesignSession::set_deadline. Infinite by default.
   Deadline deadline;
-  /// Byte budget for the session's evaluation caches (cost-cache entries and
-  /// INUM model slots together). 0 (default) = unbounded, the pre-governor
-  /// behavior. Under a budget, cold entries are LRU-evicted and their
-  /// queries re-plan on the next touch — advice stays bit-identical to an
-  /// unbudgeted session; only planner-call counts change. An Evaluate() in
-  /// which eviction fired records `engine:cache-evicted` in its
+  /// Byte budget for the session's cost cache. 0 (default) = unbounded, the
+  /// pre-governor behavior. Under a budget, cold entries are LRU-evicted and
+  /// their queries re-plan on the next touch — advice stays bit-identical to
+  /// an unbudgeted session; only planner-call counts change. An Evaluate()
+  /// in which eviction fired records `engine:cache-evicted` in its
   /// DegradationReport.
   int64_t memory_budget_bytes = 0;
 };
@@ -79,9 +69,8 @@ struct DesignSessionOptions {
 ///
 /// Determinism guarantee: Evaluate() returns a report bit-identical to a
 /// fresh stateless evaluation of the same component set, for *any*
-/// interleaving of Add/Drop deltas that reaches that set (see DESIGN.md §9;
-/// requires inum_index_deltas == false). Parinda::EvaluateDesign is exactly
-/// that fresh one-shot session.
+/// interleaving of Add/Drop deltas that reaches that set (see DESIGN.md §9).
+/// Parinda::EvaluateDesign is exactly that fresh one-shot session.
 ///
 /// Not thread-safe: the component list and the per-query cost cache are
 /// single-owner state, confined to the thread driving the session (the REPL
@@ -110,8 +99,10 @@ class DesignSession {
   [[nodiscard]] Result<OverlayId> AddJoinFlags(WhatIfJoinDef def);
 
   /// Removes one feature. Fails (and leaves the session unchanged) when `id`
-  /// is unknown or the remainder no longer composes (e.g. dropping a
-  /// partition while an index on its fragment remains).
+  /// is unknown, the remainder no longer composes (e.g. dropping a
+  /// partition while an index on its fragment remains), or the drop would
+  /// change what a remaining feature refers to (what-if fragment ids are
+  /// positional, so dropping one partition can renumber later fragments).
   [[nodiscard]] Status Drop(OverlayId id);
 
   /// Drops every feature.
@@ -158,11 +149,8 @@ class DesignSession {
 
   /// Queries whose what-if cost the next Evaluate() must recompute.
   int pending_queries() const;
-  /// PlanQuery invocations during the last Evaluate() (includes INUM's
-  /// internal cache-fill calls).
+  /// PlanQuery invocations during the last Evaluate().
   int64_t last_eval_planner_calls() const { return last_eval_planner_calls_; }
-  /// Queries served by INUM recomposition during the last Evaluate().
-  int last_eval_inum_recosts() const { return last_eval_inum_recosts_; }
   /// The cache governor, when `memory_budget_bytes` armed one; nullptr on
   /// unbudgeted sessions.
   const CacheGovernor* governor() const { return governor_.get(); }
@@ -174,8 +162,6 @@ class DesignSession {
   };
 
   struct QueryState {
-    /// Base tables the query references (deduplicated, from the binder).
-    std::vector<TableId> tables;
     /// Base-design cost, held in session state (not read back from the
     /// engine cache at report time: under a memory budget the governor may
     /// evict the cache entry between the base phase and aggregation, and the
@@ -183,17 +169,13 @@ class DesignSession {
     /// deliberately outside the governor's remit.
     bool has_base = false;
     double base_cost = 0.0;
-    /// True once some evaluation (exact or INUM) stored a what-if cost.
+    /// True once some evaluation stored a what-if cost.
     bool has_value = false;
     double whatif_cost = 0.0;
     std::string rewritten_sql;
     /// Engine cache key the stored cost was computed under; the query is
     /// pending while this differs from the current design's key.
     std::string stored_key;
-    /// Same key restricted to non-index units — when it still matches, every
-    /// delta since the stored cost was an index delta (the precondition for
-    /// INUM plan recomposition).
-    std::string stored_nonindex_key;
   };
 
   [[nodiscard]] Result<OverlayId> AddComponent(
@@ -203,19 +185,14 @@ class DesignSession {
   /// makes cached costs reusable across rebuilds.
   [[nodiscard]] Status Recompose();
   void RebuildQueryStates();
-  /// Engine cache key of query `q` under the current design (and the
-  /// non-index restriction of it). Requires a workload.
+  /// Engine cache key of query `q` under the current design. Requires a
+  /// workload.
   std::string CurrentKey(int q) const;
-  std::string CurrentNonIndexKey(int q) const;
   /// Whether each query's next Evaluate() must re-cost it; compared across a
   /// delta to count valid->pending transitions (`design.invalidations`).
   bool Pending(int q) const;
   std::vector<char> PendingSnapshot() const;
   void CountInvalidations(const std::vector<char>& was_pending);
-  /// True when query `q` may be re-costed via INUM (index-only delta, no
-  /// table/range component on any of its tables).
-  bool InumEligible(int q, const QueryState& qs) const;
-  [[nodiscard]] Result<double> InumRecost(int q, const QueryState& qs);
   /// What a spill file must match: the exact params signature plus a CRC
   /// over the catalog statistics and the workload text/weights.
   SpillScope ComputeSpillScope() const;
@@ -227,25 +204,17 @@ class DesignSession {
   OverlayId next_id_ = 1;
   std::unique_ptr<ComposedOverlay> overlay_;
   /// The current design as the engine cache sees it: one (touched tables,
-  /// signature) unit per component, in insertion order; nonindex_units_
-  /// excludes index components.
+  /// signature) unit per component, in insertion order.
   std::vector<OverlayUnit> units_;
-  std::vector<OverlayUnit> nonindex_units_;
   /// Shared evaluation engine over (catalog_, *workload_); null without a
   /// workload, rebuilt by SetWorkload.
   std::unique_ptr<WorkloadEvaluator> evaluator_;
-  /// Per-query INUM models for the incremental index-delta path; the bank
-  /// rebuilds a model when the composed params change (join-flag deltas).
-  std::unique_ptr<InumBank> inum_bank_;
-  /// LRU governor over both caches when the options set a byte budget. The
-  /// session drives both caches from one thread, so governing the bank's
-  /// model slots is safe here (unlike AutoPart's parallel workers).
+  /// LRU governor over the evaluator's cache when the options set a byte
+  /// budget.
   std::unique_ptr<CacheGovernor> governor_;
   int evaluator_shard_ = 0;
-  int bank_shard_ = 0;
   std::vector<QueryState> queries_;
   int64_t last_eval_planner_calls_ = 0;
-  int last_eval_inum_recosts_ = 0;
 };
 
 }  // namespace parinda

@@ -22,20 +22,19 @@ struct MemoryBudget {
 
 /// LRU eviction across the engine's caches (DESIGN.md §14).
 ///
-/// The engine's caches — WorkloadEvaluator's cost entries, InumBank's
-/// per-query model slots — grow without bound on long interactive sessions.
-/// The governor bounds them: each cache registers as a *shard* with an
-/// eviction callback, reports every insert/hit as a `Touch(shard, id,
-/// bytes)`, and when tracked bytes exceed the budget the governor evicts
-/// least-recently-touched entries (across all shards) until the total fits,
-/// invoking the owning shard's callback to drop the entry. Eviction only
-/// discards *caches*: the owner re-plans (or rebuilds the model) on the next
-/// miss, so a budgeted run degrades gracefully to more planner calls — never
-/// to a wrong cost, and never to an OOM.
+/// The engine's cost cache (WorkloadEvaluator's L1/L2/base entries) grows
+/// without bound on long interactive sessions. The governor bounds it: each
+/// cache registers as a *shard* with an eviction callback, reports every
+/// insert/hit as a `Touch(shard, id, bytes)`, and when tracked bytes exceed
+/// the budget the governor evicts least-recently-touched entries (across all
+/// shards) until the total fits, invoking the owning shard's callback to
+/// drop the entry. Eviction only discards *caches*: the owner re-plans on
+/// the next miss, so a budgeted run degrades gracefully to more planner
+/// calls — never to a wrong cost, and never to an OOM.
 ///
 /// The entry most recently touched is pinned for the duration of its Touch:
-/// it is never chosen as a victim, so a pointer just handed out by the
-/// touching cache (an InumBank model) cannot be freed under the caller.
+/// it is never chosen as a victim, so an entry just handed out by the
+/// touching cache cannot be freed under the caller.
 ///
 /// Observability: evictions bump `engine.cache_evictions` and the tracked
 /// total mirrors into the `engine.cache_bytes` gauge; pipelines record

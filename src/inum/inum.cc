@@ -308,8 +308,6 @@ Result<double> InumCostModel::EstimateCost(
 
 Result<double> InumCostModel::DirectOptimizerCost(
     const std::vector<const IndexInfo*>& config) {
-  WhatIfIndexSet whatif(catalog_);  // only to own nothing; hook built inline
-  (void)whatif;
   HookRegistry hooks;
   hooks.set_relation_info_hook(
       [&config](const CatalogReader&, RelOptInfo* rel) {

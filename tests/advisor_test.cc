@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/check.h"
+#include "common/metrics.h"
+#include "advisor/benefit_matrix.h"
 #include "advisor/candidates.h"
 #include "catalog/size_model.h"
 #include "advisor/index_advisor.h"
+#include "inum/inum.h"
 #include "optimizer/query_analysis.h"
 #include "tests/test_util.h"
 #include "workload/sdss.h"
@@ -413,6 +418,78 @@ void ExpectGoldenIndexes(const IndexAdvice& advice,
     EXPECT_EQ(advice.indexes[s].size_bytes, golden[s].size_bytes);
     EXPECT_EQ(advice.indexes[s].used_by, golden[s].used_by);
   }
+}
+
+TEST(BenefitMatrixTest, StoresOnlySetEntriesInAscendingOrder) {
+  BenefitMatrix matrix;
+  matrix.Reset(3);
+  matrix.Set(0, 1, 2.5);
+  matrix.Set(0, 4, 0.75);
+  matrix.Set(2, 0, 9.0);
+  matrix.Set(2, 3, 1.0);
+  matrix.Set(2, 7, 4.0);
+
+  EXPECT_EQ(matrix.NonZeros(), 5);
+  EXPECT_EQ(matrix.Get(0, 1), 2.5);
+  EXPECT_EQ(matrix.Get(0, 4), 0.75);
+  EXPECT_EQ(matrix.Get(2, 7), 4.0);
+  // Absent entries, including a whole empty row, read as zero.
+  EXPECT_EQ(matrix.Get(0, 0), 0.0);
+  EXPECT_EQ(matrix.Get(0, 2), 0.0);
+  EXPECT_EQ(matrix.Get(0, 9), 0.0);
+  EXPECT_EQ(matrix.Get(1, 1), 0.0);
+
+  std::vector<std::pair<int, double>> row;
+  matrix.ForEachInRow(2, [&](int j, double gain) { row.push_back({j, gain}); });
+  const std::vector<std::pair<int, double>> want = {
+      {0, 9.0}, {3, 1.0}, {7, 4.0}};
+  EXPECT_EQ(row, want);
+  int visited = 0;
+  matrix.ForEachInRow(1, [&](int, double) { ++visited; });
+  EXPECT_EQ(visited, 0);
+
+  matrix.Reset(2);
+  EXPECT_EQ(matrix.NonZeros(), 0);
+  EXPECT_EQ(matrix.Get(0, 1), 0.0);
+}
+
+TEST(BenefitMatrixTest, SparseNnzMatchesIndependentRecount) {
+  Database db;
+  SdssConfig config;
+  config.photoobj_rows = 3000;
+  ASSERT_TRUE(BuildSdssDatabase(&db, config).ok());
+  auto workload = MakeSdssWorkload(db.catalog());
+  ASSERT_TRUE(workload.ok());
+
+  IndexAdvisorOptions options;
+  options.parallelism = 1;
+  IndexAdvisor advisor(db.catalog(), *workload, options);
+  auto candidates = advisor.Candidates();
+  ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
+  const int64_t nnz =
+      metrics::Registry::Global().gauge("advisor.sparse_nnz").value();
+
+  // Recount the stored entries from scratch: a (query, candidate) pair
+  // belongs in the matrix exactly when the candidate's table is one of the
+  // query's and the candidate lowers the query's INUM cost by more than the
+  // advisor's epsilon.
+  int64_t want = 0;
+  for (const WorkloadQuery& query : workload->queries) {
+    InumCostModel model(db.catalog(), query.stmt, options.params);
+    ASSERT_TRUE(model.Init().ok());
+    auto base = model.EstimateCost({});
+    ASSERT_TRUE(base.ok());
+    std::set<TableId> tables;
+    for (const TableRef& ref : query.stmt.from) tables.insert(ref.bound_table);
+    for (const IndexInfo* candidate : *candidates) {
+      if (tables.count(candidate->table_id) == 0) continue;
+      auto cost = model.EstimateCost({candidate});
+      ASSERT_TRUE(cost.ok());
+      if (*base - *cost > 1e-6) ++want;
+    }
+  }
+  EXPECT_GT(want, 0);
+  EXPECT_EQ(nnz, want);
 }
 
 TEST(IlpGoldenTest, SdssIlpAdviceBitIdenticalAcrossParallelism) {

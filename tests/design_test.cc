@@ -222,35 +222,6 @@ TEST_F(DesignSessionTest, JoinFlagsInvalidateEveryQuery) {
   ExpectReportsBitIdentical(*report, *reference);
 }
 
-TEST_F(DesignSessionTest, InumModeRecostsIndexOnlyDeltas) {
-  DesignSessionOptions options;
-  options.inum_index_deltas = true;
-  DesignSession session(db_->catalog(), sdss_, options);
-  ASSERT_TRUE(session.Evaluate().ok());
-
-  ASSERT_TRUE(
-      session.AddIndex({"ds_inum_q", dataset_->field, {8}, false}).ok());
-  auto report = session.Evaluate();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const int referencing = QueriesReferencing(*sdss_, dataset_->field);
-  // Every invalidated query is INUM-eligible (no table/range components);
-  // queries INUM cannot model fall back to the exact path.
-  EXPECT_GT(session.last_eval_inum_recosts(), 0);
-  EXPECT_LE(session.last_eval_inum_recosts(), referencing);
-
-  // INUM recomposition approximates the exact re-plan closely.
-  Parinda tool(db_);
-  InteractiveDesign design;
-  design.indexes.push_back({"ds_inum_q", dataset_->field, {8}, false});
-  auto reference = tool.EvaluateDesign(*sdss_, design);
-  ASSERT_TRUE(reference.ok());
-  for (size_t q = 0; q < report->per_query_optimized.size(); ++q) {
-    EXPECT_NEAR(report->per_query_optimized[q], reference->per_query_optimized[q],
-                0.15 * reference->per_query_optimized[q] + 1e-6)
-        << "query " << q;
-  }
-}
-
 TEST_F(DesignSessionTest, DropOfUnknownIdFails) {
   DesignSession session(db_->catalog(), sdss_);
   EXPECT_FALSE(session.Drop(42).ok());
@@ -280,6 +251,82 @@ TEST_F(DesignSessionTest, DropRestoresSessionWhenRemainderDoesNotCompose) {
   ASSERT_TRUE(session.Drop(*index_id).ok());
   ASSERT_TRUE(session.Drop(*partition_id).ok());
   EXPECT_TRUE(session.Components().empty());
+}
+
+/// Drops `id` and expects the session to refuse it as a retarget: the call
+/// fails with kFailedPrecondition and the component list is untouched.
+void ExpectDropRefusedAsRetarget(DesignSession* session, OverlayId id) {
+  const std::vector<DesignSession::ComponentEntry> before =
+      session->Components();
+  const int pending = session->pending_queries();
+  const Status dropped = session->Drop(id);
+  EXPECT_EQ(dropped.code(), StatusCode::kFailedPrecondition)
+      << dropped.ToString();
+  const std::vector<DesignSession::ComponentEntry> after =
+      session->Components();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].description, before[i].description);
+  }
+  EXPECT_EQ(session->pending_queries(), pending);
+}
+
+TEST_F(DesignSessionTest, DropNeverRetargetsAnIndexOnALaterFragment) {
+  // Fragment ids follow composition order: with ds_fa dropped, ds_fc would
+  // take ds_fb's id, and the index on ds_fb would silently move onto ds_fc.
+  DesignSession session(db_->catalog(), sdss_);
+  auto fa = session.AddPartition({"ds_fa", dataset_->photoobj, {3, 4}});
+  ASSERT_TRUE(fa.ok());
+  auto fb = session.AddPartition({"ds_fb", dataset_->photoobj, {7, 8}});
+  ASSERT_TRUE(fb.ok());
+  ASSERT_TRUE(
+      session.AddPartition({"ds_fc", dataset_->photoobj, {17, 18}}).ok());
+  const TableInfo* fragment = session.overlay().catalog().FindTable("ds_fb");
+  ASSERT_NE(fragment, nullptr);
+  auto index = session.AddIndex({"ds_fb_u", fragment->id, {1}, false});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(session.Evaluate().ok());
+
+  ExpectDropRefusedAsRetarget(&session, *fa);
+  ASSERT_TRUE(session.Evaluate().ok());
+
+  // Without the fragment index, dropping ds_fa moves nothing.
+  ASSERT_TRUE(session.Drop(*index).ok());
+  ASSERT_TRUE(session.Drop(*fa).ok());
+  ASSERT_TRUE(session.Drop(*fb).ok());
+  EXPECT_EQ(session.Components().size(), 1u);
+}
+
+TEST_F(DesignSessionTest, DropNeverRetargetsAnIndexOnALaterRangeChild) {
+  // Range children draw their ids from the same positional counter.
+  RangePartitionDef ra;
+  ra.parent = dataset_->photoobj;
+  ra.column = 1;  // ra
+  ra.bounds = {Value::Double(180)};
+  ra.name_prefix = "ds_ra";
+  RangePartitionDef rb;
+  rb.parent = dataset_->specobj;
+  rb.column = 2;  // z
+  rb.bounds = {Value::Double(0.1), Value::Double(0.2)};
+  rb.name_prefix = "ds_rb";
+
+  DesignSession session(db_->catalog(), sdss_);
+  auto first = session.AddRangePartitioning(ra);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(session.AddRangePartitioning(rb).ok());
+  const TableInfo* child = session.overlay().catalog().FindTable("ds_rb0");
+  ASSERT_NE(child, nullptr);
+  auto index = session.AddIndex({"ds_rb0_z", child->id, {2}, false});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(session.Evaluate().ok());
+
+  ExpectDropRefusedAsRetarget(&session, *first);
+  ASSERT_TRUE(session.Evaluate().ok());
+
+  ASSERT_TRUE(session.Drop(*index).ok());
+  ASSERT_TRUE(session.Drop(*first).ok());
+  EXPECT_EQ(session.Components().size(), 1u);
 }
 
 TEST_F(DesignSessionTest, EagerValidationRejectsBadComponents) {

@@ -177,35 +177,37 @@ TEST_F(EngineTest, EvaluateQueryCachesUnderKeyAndBypassesOnEmptyKey) {
   EXPECT_EQ(first->cost, bypass->cost);
 }
 
-TEST_F(EngineTest, InumBankReusesModelsUntilParamsChange) {
+TEST_F(EngineTest, InumBankReusesModelPerQuery) {
   auto workload = MakeWorkload(
       db_->catalog(), {"SELECT count(*) FROM photoobj WHERE r BETWEEN 15 AND 16"});
   ASSERT_TRUE(workload.ok());
-  InumBank bank(db_->catalog(), *workload);
+  InumBank bank(db_->catalog(), *workload, CostParams{});
   EXPECT_EQ(bank.Get(0), nullptr);
+  EXPECT_EQ(bank.TotalEstimatesServed(), 0);
 
-  CostParams params;
-  auto model = bank.Model(0, params, nullptr);
+  auto model = bank.Model(0, nullptr);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(bank.Get(0), *model);
   auto base = (*model)->EstimateCost({});
   ASSERT_TRUE(base.ok());
+  const int64_t calls = bank.TotalOptimizerCalls();
   const int64_t served = bank.TotalEstimatesServed();
+  EXPECT_GT(calls, 0);
   EXPECT_GT(served, 0);
 
-  // Same params: the model (and its estimate cache) is reused.
-  auto again = bank.Model(0, params, nullptr);
+  // The params are bound at construction, so every later call reuses the
+  // built model: no rebuild, no new optimizer calls, and the served-estimate
+  // tally only grows.
+  auto again = bank.Model(0, nullptr);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *model);
+  EXPECT_EQ(bank.TotalOptimizerCalls(), calls);
   EXPECT_EQ(bank.TotalEstimatesServed(), served);
-
-  // Changed params: the bank rebuilds from scratch, dropping the old
-  // model's served-estimate tally with it.
-  CostParams flipped;
-  flipped.enable_nestloop = false;
-  auto rebuilt = bank.Model(0, flipped, nullptr);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(bank.TotalEstimatesServed(), 0);
+  auto repeat = (*again)->EstimateCost({});
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(*repeat, *base);
+  EXPECT_GT(bank.TotalEstimatesServed(), served);
+  EXPECT_EQ(bank.TotalOptimizerCalls(), calls);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/check.h"
 #include "executor/executor.h"
@@ -104,8 +105,13 @@ Result<std::vector<Row>> BruteForce(const Database& db,
 }
 
 struct OracleCase {
+  const char* name;  // stable test-name suffix; see PrintTo below
   const char* sql;
 };
+
+// Without this, gtest prints the case as the raw bytes of its pointers, so the
+// discovered test names change with every address-space layout.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
 
 class OracleTest : public ::testing::TestWithParam<OracleCase> {};
 
@@ -152,31 +158,46 @@ TEST_P(OracleTest, PipelineMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, OracleTest,
     ::testing::Values(
-        OracleCase{"SELECT id, amount FROM orders WHERE id = 1234"},
-        OracleCase{"SELECT id FROM orders WHERE amount BETWEEN 250 AND 300"},
-        OracleCase{"SELECT id FROM orders WHERE region = 'north' "
+        OracleCase{"point_lookup",
+                   "SELECT id, amount FROM orders WHERE id = 1234"},
+        OracleCase{"range_between",
+                   "SELECT id FROM orders WHERE amount BETWEEN 250 AND 300"},
+        OracleCase{"and_conjunction",
+                   "SELECT id FROM orders WHERE region = 'north' "
                    "AND amount < 100"},
-        OracleCase{"SELECT id FROM orders WHERE id IN (3, 33, 333, 3333)"},
-        OracleCase{"SELECT id FROM orders WHERE amount < 50 OR amount > 980"},
-        OracleCase{"SELECT id FROM orders WHERE NOT (flag = true) "
+        OracleCase{"in_list",
+                   "SELECT id FROM orders WHERE id IN (3, 33, 333, 3333)"},
+        OracleCase{"or_disjunction",
+                   "SELECT id FROM orders WHERE amount < 50 OR amount > 980"},
+        OracleCase{"not_predicate",
+                   "SELECT id FROM orders WHERE NOT (flag = true) "
                    "AND customer_id < 20"},
-        OracleCase{"SELECT o.id, c.name FROM orders o, customers c "
+        OracleCase{"join_point",
+                   "SELECT o.id, c.name FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.cid = 42"},
-        OracleCase{"SELECT o.id FROM orders o, customers c "
+        OracleCase{"join_filters",
+                   "SELECT o.id FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.score > 90 "
                    "AND o.amount < 150"},
-        OracleCase{"SELECT count(*) FROM orders o, customers c "
+        OracleCase{"join_count",
+                   "SELECT count(*) FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid"},
-        OracleCase{"SELECT region, count(*), avg(amount) FROM orders "
+        OracleCase{"group_by_avg",
+                   "SELECT region, count(*), avg(amount) FROM orders "
                    "WHERE amount > 500 GROUP BY region"},
-        OracleCase{"SELECT c.name, count(*) FROM orders o, customers c "
+        OracleCase{"join_group_by",
+                   "SELECT c.name, count(*) FROM orders o, customers c "
                    "WHERE o.customer_id = c.cid AND c.cid < 10 "
                    "GROUP BY c.name"},
-        OracleCase{"SELECT min(amount), max(amount), sum(amount) FROM orders "
+        OracleCase{"min_max_sum",
+                   "SELECT min(amount), max(amount), sum(amount) FROM orders "
                    "WHERE region = 'emea'"},
-        OracleCase{"SELECT flag, count(*) FROM orders GROUP BY flag"},
-        OracleCase{"SELECT id + 1, amount * 2 FROM orders WHERE id < 10"},
-        OracleCase{"SELECT id FROM orders WHERE flag IS NULL "
+        OracleCase{"group_by_bool",
+                   "SELECT flag, count(*) FROM orders GROUP BY flag"},
+        OracleCase{"projection_arith",
+                   "SELECT id + 1, amount * 2 FROM orders WHERE id < 10"},
+        OracleCase{"is_null_and_range",
+                   "SELECT id FROM orders WHERE flag IS NULL "
                    "AND amount BETWEEN 100 AND 200"}));
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "common/check.h"
 #include "common/random.h"
@@ -205,6 +206,12 @@ struct RewriteCase {
   int seed;
   const char* sql;
 };
+
+// Without this, gtest prints the case as raw bytes (padding and a pointer), so
+// the discovered test names change with every address-space layout.
+void PrintTo(const RewriteCase& c, std::ostream* os) {
+  *os << "seed" << c.seed;
+}
 
 class RewriteEquivalence : public ::testing::TestWithParam<RewriteCase> {};
 

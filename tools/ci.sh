@@ -16,7 +16,9 @@
 # flipped payload byte costs exactly one record, and the warmed costs match
 # the pre-save evaluation byte for byte), smoke-tests the bench
 # --json/--trace exports (both must parse as JSON and the trace must carry
-# optimizer spans), runs parinda-lint
+# optimizer spans), runs every benchmark workload (perfbench/, listed in
+# BENCHMARK.json) briefly so a change that breaks its build or output checks
+# fails here first, runs parinda-lint
 # over src/ and tests/, failing on any violation (including the
 # overlay-internals layering and unchecked-deadline checks), runs
 # parinda-analyze over src/ (module layering, guarded-field lock discipline,
@@ -231,9 +233,10 @@ fi
 echo "=== large-workload scaling smoke test ==="
 # The scaling pipeline (DESIGN.md §15) must hold its contract at CI time:
 # a 2000-query scaled SDSS workload compresses at >= 10x, the full pipeline
-# beats the all-ablations-off arm by >= 5x, and the advice is bit-identical
-# across every arm (bench_scale PARINDA_CHECKs identity itself; the JSON
-# records the verdict). Budgeted: the whole leg must finish inside 120s.
+# beats the all-off arm (compression off) by >= 5x, and the advice is
+# bit-identical across both arms (bench_scale PARINDA_CHECKs identity
+# itself; the JSON records the verdict). Budgeted: the whole leg must finish
+# inside 120s.
 SCALE_START=$SECONDS
 ./build/bench/bench_scale \
   --json=/tmp/parinda_ci_scale.json \
@@ -262,6 +265,32 @@ if [ "$SCALE_WALL" -gt 120 ]; then
   exit 1
 fi
 echo "--- scale smoke test: ${SCALE_WALL}s (budget 120s)"
+
+echo "=== perfbench smoke test ==="
+# The benchmark builds src/ on its own (into .bench_build/) and ends every
+# run with output checks; a non-zero exit means a build failure, a failed
+# check or a failed operation (e.g. a delta of the interactive script that
+# the session refused). Each workload runs once for 3 s, and
+# interactive_sdss once more traced, which checks the per-layer metric names.
+if command -v python3 >/dev/null 2>&1; then
+  PERF_WORKLOADS="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  perfbench_smoke() {
+    echo "--- $1 --trace $2"
+    python3 perfbench/run.py --workload "$1" --seed 1 --seconds 3 \
+      --trace "$2" > /tmp/parinda_ci_perfbench.txt 2>&1 || {
+      echo "perfbench $1 (--trace $2) failed:"
+      tail -30 /tmp/parinda_ci_perfbench.txt
+      exit 1
+    }
+  }
+  for workload in $PERF_WORKLOADS; do
+    perfbench_smoke "$workload" 0
+  done
+  perfbench_smoke interactive_sdss 1
+else
+  echo "python3 unavailable; skipping (perfbench/run.py needs it)"
+fi
 
 echo "=== parinda-lint ==="
 ./build/tools/parinda-lint --json src tests > /tmp/parinda_lint_report.json && {
