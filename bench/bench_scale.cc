@@ -1,20 +1,24 @@
 // E10 — large-workload scaling (DESIGN.md §15). Expands the 30 SDSS
-// templates into thousand-query workloads and sweeps two of the scaling
-// features — workload compression and the incremental branch-and-bound
-// solver — as ablation arms. Every arm must produce the bit-identical
-// advice; the features only change how fast it is computed.
+// templates into thousand-query workloads, sweeps workload compression as
+// an ablation arm (every arm must produce the bit-identical advice), and
+// measures the warm dual-simplex branch and bound on a synthetic knapsack
+// (E10c) and on the 2000-query ILP advice over five query orders (E10d).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
+#include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "advisor/index_advisor.h"
 #include "autopart/autopart.h"
 #include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "solver/bnb.h"
 #include "workload/compress.h"
 #include "workload/sdss_scale.h"
@@ -175,57 +179,130 @@ BinaryMip MakeHardKnapsack(int n) {
   return mip;
 }
 
+/// Per-call deltas of the solver's deterministic counters.
+struct SolverCounts {
+  int64_t lp_copies = 0;
+  int64_t pivots = 0;
+  int64_t refactorizations = 0;
+
+  static SolverCounts Now() {
+    metrics::Registry& registry = metrics::Registry::Global();
+    return {registry.counter("solver.lp_copies").value(),
+            registry.counter("solver.dual_pivots").value(),
+            registry.counter("solver.refactorizations").value()};
+  }
+  SolverCounts Since(const SolverCounts& before) const {
+    return {lp_copies - before.lp_copies, pivots - before.pivots,
+            refactorizations - before.refactorizations};
+  }
+};
+
 void RunSolverAblation() {
-  // E10c — incremental (one shared LP, in-place bounds, best-first, rounded
-  // warm start) vs copy-per-node DFS branch and bound.
+  // E10c — the warm dual-simplex branch and bound on a synthetic instance
+  // with a real tree: one LP copy, bound rewrites and dual pivots per node.
   bench_util::PrintHeader(
-      "E10c ablation: incremental vs copy-per-node branch and bound");
+      "E10c: warm dual-simplex branch and bound, hard knapsack n = 40");
   const BinaryMip mip = MakeHardKnapsack(40);
-  metrics::Counter& lp_copies =
-      metrics::Registry::Global().counter("solver.lp_copies");
-  struct Outcome {
-    double wall_ms = 0.0;
-    int64_t lp_copies = 0;
-    MipSolution solution;
-  };
-  auto run = [&](bool incremental) {
-    MipOptions options;
-    options.incremental = incremental;
-    const int64_t copies_before = lp_copies.value();
-    const auto start = std::chrono::steady_clock::now();
-    auto solution = SolveBinaryMip(mip, options);
-    PARINDA_CHECK_OK(solution);
-    PARINDA_CHECK(solution->proved_optimal);
-    Outcome out;
-    out.wall_ms = WallMs(start);
-    out.lp_copies = lp_copies.value() - copies_before;
-    out.solution = std::move(*solution);
-    return out;
-  };
-  const Outcome incremental = run(true);
-  const Outcome legacy = run(false);
-  // Both search strategies are exact: same optimum, different node costs.
-  PARINDA_CHECK(incremental.solution.objective == legacy.solution.objective);
-  std::printf("%-14s %12s %12s %10s %10s\n", "solver", "wall (ms)",
-              "LP copies", "explored", "pruned");
-  std::printf("%-14s %12.2f %12lld %10d %10d\n", "incremental",
-              incremental.wall_ms,
-              static_cast<long long>(incremental.lp_copies),
-              incremental.solution.nodes_explored,
-              incremental.solution.nodes_pruned);
-  std::printf("%-14s %12.2f %12lld %10d %10d\n", "copy-per-node",
-              legacy.wall_ms, static_cast<long long>(legacy.lp_copies),
-              legacy.solution.nodes_explored, legacy.solution.nodes_pruned);
-  bench_util::RecordMetric("e10c.incremental_ms", incremental.wall_ms);
-  bench_util::RecordMetric("e10c.legacy_ms", legacy.wall_ms);
+  const SolverCounts before = SolverCounts::Now();
+  const auto start = std::chrono::steady_clock::now();
+  auto solution = SolveBinaryMip(mip);
+  const double wall_ms = WallMs(start);
+  const SolverCounts counts = SolverCounts::Now().Since(before);
+  PARINDA_CHECK_OK(solution);
+  PARINDA_CHECK(solution->proved_optimal);
+  std::printf("%12s %10s %10s %10s %10s %10s\n", "wall (ms)", "LP copies",
+              "explored", "pruned", "pivots", "refactors");
+  std::printf("%12.2f %10lld %10d %10d %10lld %10lld\n", wall_ms,
+              static_cast<long long>(counts.lp_copies),
+              solution->nodes_explored, solution->nodes_pruned,
+              static_cast<long long>(counts.pivots),
+              static_cast<long long>(counts.refactorizations));
+  bench_util::RecordMetric("e10c.incremental_ms", wall_ms);
   bench_util::RecordMetric("e10c.incremental_lp_copies",
-                           static_cast<double>(incremental.lp_copies));
-  bench_util::RecordMetric("e10c.legacy_lp_copies",
-                           static_cast<double>(legacy.lp_copies));
+                           static_cast<double>(counts.lp_copies));
   bench_util::RecordMetric("e10c.incremental_nodes",
-                           incremental.solution.nodes_explored);
-  bench_util::RecordMetric("e10c.legacy_nodes",
-                           legacy.solution.nodes_explored);
+                           solution->nodes_explored);
+  bench_util::RecordMetric("e10c.dual_pivots",
+                           static_cast<double>(counts.pivots));
+  bench_util::RecordMetric("e10c.refactorizations",
+                           static_cast<double>(counts.refactorizations));
+}
+
+void RunIlpOrders() {
+  // E10d — ILP index advice for 2000 queries under 8 MiB, over five seeded
+  // orders of the same queries: the advice must not depend on the order,
+  // and the solve should not either.
+  Database* db = bench_util::SharedSdss(20000);
+  bench_util::PrintHeader(
+      "E10d: SuggestWithIlp, 2000 queries, 8 MiB, five query orders");
+  std::printf("%-6s %12s %8s %10s %10s %8s %8s\n", "order", "solve (ms)",
+              "nodes", "pivots", "refactors", "indexes", "optimal");
+  std::vector<double> solve_ms;
+  int nodes_min = 0;
+  int nodes_max = 0;
+  int64_t pivots_max = 0;
+  int64_t refactorizations = 0;
+  bool all_optimal = true;
+  bool same_set = true;
+  std::set<std::string> first_set;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Workload workload = ScaledWorkload(*db, 2000);
+    Random rng(seed);
+    for (int i = workload.size() - 1; i > 0; --i) {
+      std::swap(workload.queries[static_cast<size_t>(i)],
+                workload.queries[static_cast<size_t>(rng.UniformInt(0, i))]);
+    }
+    IndexAdvisorOptions options;
+    options.storage_budget_bytes = 8.0 * 1024 * 1024;
+    options.parallelism = 1;
+    IndexAdvisor advisor(db->catalog(), workload, options);
+    const int64_t nodes_before =
+        metrics::Registry::Global().counter("solver.nodes_expanded").value();
+    const SolverCounts before = SolverCounts::Now();
+    auto advice = advisor.SuggestWithIlp();
+    PARINDA_CHECK_OK(advice);
+    const SolverCounts counts = SolverCounts::Now().Since(before);
+    const int nodes = static_cast<int>(
+        metrics::Registry::Global().counter("solver.nodes_expanded").value() -
+        nodes_before);
+    double ms = 0.0;
+    for (const auto& [phase, seconds] : advice->degradation.phase_seconds) {
+      if (phase == "solve") ms += seconds * 1000.0;
+    }
+    std::set<std::string> names;
+    for (const SuggestedIndex& index : advice->indexes) {
+      names.insert(index.def.name);
+    }
+    if (seed == 1) {
+      first_set = names;
+      nodes_min = nodes_max = nodes;
+    }
+    same_set = same_set && names == first_set;
+    all_optimal = all_optimal && advice->proved_optimal &&
+                  !advice->degradation.degraded;
+    solve_ms.push_back(ms);
+    nodes_min = std::min(nodes_min, nodes);
+    nodes_max = std::max(nodes_max, nodes);
+    pivots_max = std::max(pivots_max, counts.pivots);
+    refactorizations += counts.refactorizations;
+    std::printf("%-6llu %12.1f %8d %10lld %10lld %8zu %8s\n",
+                static_cast<unsigned long long>(seed), ms, nodes,
+                static_cast<long long>(counts.pivots),
+                static_cast<long long>(counts.refactorizations),
+                advice->indexes.size(),
+                advice->proved_optimal ? "yes" : "no");
+  }
+  std::sort(solve_ms.begin(), solve_ms.end());
+  bench_util::RecordMetric("e10d.solve_ms_median", solve_ms[2]);
+  bench_util::RecordMetric("e10d.solve_ms_max", solve_ms.back());
+  bench_util::RecordMetric("e10d.nodes_min", nodes_min);
+  bench_util::RecordMetric("e10d.nodes_max", nodes_max);
+  bench_util::RecordMetric("e10d.dual_pivots_max",
+                           static_cast<double>(pivots_max));
+  bench_util::RecordMetric("e10d.refactorizations",
+                           static_cast<double>(refactorizations));
+  bench_util::RecordMetric("e10d.all_proved_optimal", all_optimal ? 1.0 : 0.0);
+  bench_util::RecordMetric("e10d.same_index_set", same_set ? 1.0 : 0.0);
 }
 
 void BM_ScaledPipeline(benchmark::State& state) {
@@ -247,6 +324,7 @@ int main(int argc, char** argv) {
   parinda::RunSizeSweep();
   parinda::RunAblation();
   parinda::RunSolverAblation();
+  parinda::RunIlpOrders();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   parinda::bench_util::WriteJsonIfEnabled("bench_scale");

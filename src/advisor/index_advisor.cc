@@ -35,6 +35,13 @@ IndexAdvisor::~IndexAdvisor() = default;
 
 Status IndexAdvisor::Prepare() {
   if (prepared_) return Status::OK();
+  // A run that failed part-way left partial state (a pool pointing into the
+  // candidate set about to be replaced); rebuild everything from scratch.
+  bank_.reset();
+  candidates_.clear();
+  compressed_.reset();
+  ctx_.expansion = nullptr;
+  prep_complete_ = true;
   // Fold duplicate (text, stats-scope) queries before building any model:
   // engine costs are pure functions of the fold key, so one representative
   // with the summed weight covers every member exactly (DESIGN.md §15). A
@@ -400,20 +407,59 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithIlp() {
     int var;
   };
   std::vector<PairVar> pairs;
-  std::map<std::pair<int, int>, int> pair_var;  // (eval q, j) -> var
+  // Weighted benefit columns, for the dominance test below.
+  std::vector<std::vector<std::pair<int, double>>> column(
+      static_cast<size_t>(nc));
+  for (int q = 0; q < nq; ++q) {
+    const double w_q = eval_workload_->queries[static_cast<size_t>(q)].weight;
+    benefit_.ForEachInRow(q, [&](int j, double gain) {
+      if (gain * w_q > kBenefitEps) column[j].push_back({q, gain * w_q});
+    });
+  }
+  // Candidate b is dominated when a candidate a on the same table is no
+  // larger, no costlier to maintain and serves every query at least as
+  // well; on a full tie the lower index dominates. Any solution using b
+  // does as well with a in its place, so b gets no access-path variables:
+  // the ILP keeps an optimum, shrinks, and cannot choose between indexes of
+  // equal benefit by how the simplex happened to pivot.
+  std::vector<char> dominated(static_cast<size_t>(nc), 0);
+  for (int b = 0; b < nc; ++b) {
+    for (int a = 0; a < nc && dominated[b] == 0; ++a) {
+      if (a == b || candidates_[a]->table_id != candidates_[b]->table_id ||
+          candidates_[a]->SizeBytes() > candidates_[b]->SizeBytes() ||
+          MaintenanceCost(a) > MaintenanceCost(b)) {
+        continue;
+      }
+      bool covers = true;
+      for (const auto& [q, weighted] : column[b]) {
+        covers = covers &&
+                 benefit_.Get(q, a) * eval_workload_->queries[q].weight >=
+                     weighted;
+      }
+      const bool tie = column[a] == column[b] &&
+                       candidates_[a]->SizeBytes() ==
+                           candidates_[b]->SizeBytes() &&
+                       MaintenanceCost(a) == MaintenanceCost(b);
+      if (covers && (!tie || a < b)) dominated[b] = 1;
+    }
+  }
   for (int q = 0; q < nq; ++q) {
     const double w_q = eval_workload_->queries[static_cast<size_t>(q)].weight;
     benefit_.ForEachInRow(q, [&](int j, double gain) {
       const double weighted = gain * w_q;
-      if (weighted <= kBenefitEps) return;
+      if (weighted <= kBenefitEps || dominated[j] != 0) return;
       const int var = static_cast<int>(lp.objective.size());
       lp.objective.push_back(weighted);
       pairs.push_back({q, j, var});
-      pair_var[{q, j}] = var;
     });
   }
-  // y_{q,j} <= x_j.
+  // y_{q,j} <= x_j. An index no query can use (dominated, or with no
+  // benefit) is fixed at 0: building it could only cost maintenance, and a
+  // free zero-objective column would otherwise float in the budget row.
+  lp.upper.assign(lp.objective.size(), 1.0);
+  for (int j = 0; j < nc; ++j) lp.upper[j] = 0.0;
   for (const PairVar& pair : pairs) {
+    lp.upper[pair.j] = 1.0;
     lp.AddConstraint({{{pair.var, 1.0}, {pair.j, -1.0}}, 0.0});
   }
   // Accuracy constraints: one access path per table per query (paper §3.4).
@@ -463,6 +509,24 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithIlp() {
   } else if (!solution.feasible) {
     return Status::SolverError("index-selection ILP is infeasible");
   }
+  // Access paths from the selected set alone, not from the solver's y: per
+  // (eval query, table) the selected candidate with the largest weighted
+  // benefit serves the query, ties to the lowest candidate index. For a
+  // fixed x this assignment is optimal, and it makes the advice a function
+  // of the chosen index set, whichever of the tied optimal vertices the
+  // simplex stopped at.
+  std::map<std::pair<int, TableId>, const PairVar*> route;
+  for (const PairVar& pair : pairs) {
+    if (solution.values[pair.j] != 1) continue;
+    auto [it, inserted] =
+        route.try_emplace({pair.q, candidates_[pair.j]->table_id}, &pair);
+    if (!inserted && mip.lp.objective[pair.var] >
+                         mip.lp.objective[it->second->var]) {
+      it->second = &pair;
+    }
+  }
+  std::set<std::pair<int, int>> routed;  // (eval q, j)
+  for (const auto& [key, pair] : route) routed.insert({pair->q, pair->j});
   std::vector<const IndexInfo*> selected;
   std::vector<double> model_benefit;
   const int n_orig = OriginalSize();
@@ -474,8 +538,7 @@ Result<IndexAdvice> IndexAdvisor::SuggestWithIlp() {
       // uncompressed pair-order accumulation bit for bit.
       double b = 0.0;
       for (int q = 0; q < n_orig; ++q) {
-        auto it = pair_var.find({RepOf(q), j});
-        if (it != pair_var.end() && solution.values[it->second] == 1) {
+        if (routed.count({RepOf(q), j}) != 0) {
           b += benefit_.Get(RepOf(q), j) * WeightOf(q);
         }
       }

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace parinda {
 
@@ -17,303 +19,136 @@ namespace {
 
 constexpr double kIntEps = 1e-6;
 
-metrics::Counter& NodesExpandedCounter() {
-  static metrics::Counter& c =
-      metrics::Registry::Global().counter("solver.nodes_expanded");
-  return c;
-}
-
-metrics::Counter& NodesPrunedCounter() {
-  static metrics::Counter& c =
-      metrics::Registry::Global().counter("solver.nodes_pruned");
-  return c;
-}
-
-/// A legacy-path node: variables fixed so far (-1 = free).
-struct Node {
-  std::vector<int8_t> fixed;
-};
-
-/// Applies the node's fixings as extra constraints:
-/// x_i <= 0 (fix to 0) and -x_i <= -1 (fix to 1; the Big-M phase of the LP
-/// solver handles the negative rhs).
-LinearProgram WithFixings(const LinearProgram& lp,
-                          const std::vector<int8_t>& fixed) {
-  LinearProgram out = lp;
-  for (int i = 0; i < lp.num_vars(); ++i) {
-    if (fixed[i] == 0) {
-      out.AddConstraint({{{i, 1.0}}, 0.0});
-    } else if (fixed[i] == 1) {
-      out.AddConstraint({{{i, -1.0}}, -1.0});
-    }
-  }
-  return out;
-}
-
-bool IsIntegral(const std::vector<double>& values, int* most_fractional) {
-  *most_fractional = -1;
-  double best_dist = kIntEps;
+/// The branching variable of a relaxation, or -1 when it is integral: the
+/// fractional variable in the most constraint rows, then the most
+/// fractional, then the lowest index. On the index-selection ILP this
+/// branches on the index variables x_j; once they are integral every
+/// (query, table) row is a face of the relaxation and the access-path
+/// variables y_{q,j} come out integral at a vertex.
+int ChooseBranch(const std::vector<double>& values,
+                 const std::vector<int>& degree) {
+  int branch = -1;
+  double branch_dist = 0.0;
   for (size_t i = 0; i < values.size(); ++i) {
     const double frac = values[i] - std::floor(values[i]);
     const double dist = std::min(frac, 1.0 - frac);
-    if (dist > best_dist) {
-      best_dist = dist;
-      *most_fractional = static_cast<int>(i);
-      // min(frac, 1 - frac) cannot exceed 0.5, and the comparison above is
-      // strict, so a variable at exactly 0.5 ends the scan.
-      if (best_dist >= 0.5) break;
+    if (dist <= kIntEps) continue;
+    const int best = branch < 0 ? -1 : degree[static_cast<size_t>(branch)];
+    if (degree[i] > best || (degree[i] == best && dist > branch_dist)) {
+      branch = static_cast<int>(i);
+      branch_dist = dist;
     }
   }
-  return *most_fractional < 0;
+  return branch;
 }
 
-/// True when the incumbent already covers `bound` within the relative gap —
-/// a subtree whose upper bound is covered cannot improve the incumbent.
-bool Covered(const MipSolution& best, double bound, double relative_gap) {
-  return best.feasible &&
-         bound <= best.objective +
-                      std::fabs(best.objective) * relative_gap + kIntEps;
-}
-
-/// Seeds the incumbent with the all-zero assignment when it is feasible
-/// (selecting nothing always satisfies <=-constraints with nonnegative rhs,
-/// which is the shape of PARINDA's ILPs).
-void SeedZeroIncumbent(const LinearProgram& lp, MipSolution* best) {
-  for (const auto& row : lp.constraints) {
-    if (row.rhs < 0.0) return;
-  }
-  best->feasible = true;
-  best->objective = 0.0;
-}
-
-/// Greedy warm start: round the root relaxation to 0/1 and adopt it as the
-/// incumbent when the rounding happens to satisfy every constraint. One
-/// pass over the constraints; on selection instances the rounding is often
-/// optimal or near it, which lets the bound prune most of the tree.
-void TryRoundedIncumbent(const LinearProgram& lp,
-                         const std::vector<double>& relax_values,
-                         MipSolution* best) {
-  const int n = lp.num_vars();
-  std::vector<int> rounded(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    if (relax_values[static_cast<size_t>(i)] > 0.5) {
-      if (lp.UpperOf(i) < 1.0 - kIntEps) return;
-      rounded[static_cast<size_t>(i)] = 1;
-    }
-  }
-  for (const auto& row : lp.constraints) {
-    double lhs = 0.0;
-    for (const auto& [var, coeff] : row.terms) {
-      if (var >= 0 && var < n && rounded[static_cast<size_t>(var)] == 1) {
-        lhs += coeff;
-      }
-    }
-    if (lhs > row.rhs + kIntEps) return;
-  }
-  double objective = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (rounded[static_cast<size_t>(i)] == 1) {
-      objective += lp.objective[static_cast<size_t>(i)];
-    }
-  }
-  if (!best->feasible || objective > best->objective) {
-    best->feasible = true;
-    best->objective = objective;
-    best->values = std::move(rounded);
-  }
-}
-
-/// One fixing in the incremental search tree. Nodes form a parent-linked
-/// arena: a node's complete fixing set is its chain back to the root, so a
-/// node costs 6 bytes instead of an n-wide fixing vector.
+/// One fixing in the search tree. Nodes form a parent-linked arena: a
+/// node's fixings are its chain back to the root, and it stores no basis,
+/// since the simplex state is shared by the whole search.
 struct FixRec {
   int var = -1;  // -1 at the root (no fixing)
   int8_t value = 0;
   int parent = -1;
 };
 
-/// Open-list entry: best bound pops first; on equal bounds the larger
-/// sequence number (the most recently pushed child, i.e. the "round up"
-/// branch) pops first, matching the legacy DFS exploration preference.
-struct PqEntry {
-  double bound = 0.0;
-  int64_t seq = 0;
-  int id = 0;
-};
-
-bool operator<(const PqEntry& a, const PqEntry& b) {
-  if (a.bound != b.bound) return a.bound < b.bound;
-  return a.seq < b.seq;
-}
-
-/// The original copy-per-node depth-first search, kept as the ablation arm
-/// for bench_scale and as a cross-check oracle in solver_test.
-Result<MipSolution> SolveLegacy(const BinaryMip& mip,
-                                const MipOptions& options) {
-  const int n = mip.lp.num_vars();
-  MipSolution best;
-  best.values.assign(static_cast<size_t>(n), 0);
-  SeedZeroIncumbent(mip.lp, &best);
-
-  std::vector<Node> stack;
-  stack.push_back(Node{std::vector<int8_t>(static_cast<size_t>(n), -1)});
-  bool exhausted_cleanly = true;
-
-  while (!stack.empty()) {
-    PARINDA_FAILPOINT("solver.bnb_node");
-    if (best.nodes_explored >= options.max_nodes) {
-      exhausted_cleanly = false;
-      break;
-    }
-    if (options.deadline.Expired()) {
-      // Anytime cut: keep the incumbent, flag the truncation.
-      exhausted_cleanly = false;
-      best.degraded = true;
-      break;
-    }
-    Node node = std::move(stack.back());
-    stack.pop_back();
-    ++best.nodes_explored;
-    NodesExpandedCounter().Increment();
-
-    PARINDA_ASSIGN_OR_RETURN(LpSolution relax,
-                             SolveLp(WithFixings(mip.lp, node.fixed)));
-    if (!relax.feasible) continue;
-    // Bound: the relaxation is an upper bound for this subtree.
-    if (Covered(best, relax.objective, options.relative_gap)) {
-      ++best.nodes_pruned;
-      NodesPrunedCounter().Increment();
-      continue;
-    }
-    int branch_var = -1;
-    if (IsIntegral(relax.values, &branch_var)) {
-      // Integral solution improves the incumbent (bound check passed above).
-      best.feasible = true;
-      best.objective = relax.objective;
-      for (int i = 0; i < n; ++i) {
-        best.values[i] = relax.values[i] > 0.5 ? 1 : 0;
-      }
-      continue;
-    }
-    // Branch: explore the "round up" child first (DFS finds good incumbents
-    // quickly on selection problems).
-    Node down = node;
-    down.fixed[branch_var] = 0;
-    stack.push_back(std::move(down));
-    Node up = std::move(node);
-    up.fixed[branch_var] = 1;
-    stack.push_back(std::move(up));
-  }
-
-  best.proved_optimal = best.feasible && exhausted_cleanly;
-  return best;
-}
-
-Result<MipSolution> SolveIncremental(const BinaryMip& mip,
-                                     const MipOptions& options) {
-  const int n = mip.lp.num_vars();
-  MipSolution best;
-  best.values.assign(static_cast<size_t>(n), 0);
-  SeedZeroIncumbent(mip.lp, &best);
-
-  // The one LP copy of the entire search: every node solves this same
-  // program after restoring the base bounds and replaying its fixing chain.
-  // Fix-to-0 sets upper = 0; fix-to-1 sets lower = 1 (the LP handles lower
-  // bounds by substitution, so fixed-to-1 variables never create a Big-M
-  // artificial the way the legacy -x <= -1 rows do).
-  LinearProgram work = mip.lp;
-  std::vector<double> base_upper(static_cast<size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    base_upper[static_cast<size_t>(i)] = mip.lp.UpperOf(i);
-  }
-  work.upper = base_upper;
-  work.lower.assign(static_cast<size_t>(n), 0.0);
-
-  std::vector<FixRec> arena;
-  arena.push_back(FixRec{});
-  std::priority_queue<PqEntry> open;
-  int64_t next_seq = 0;
-  open.push(PqEntry{std::numeric_limits<double>::infinity(), next_seq++, 0});
-  bool exhausted_cleanly = true;
-
-  while (!open.empty()) {
-    PARINDA_FAILPOINT("solver.bnb_node");
-    if (best.nodes_explored >= options.max_nodes) {
-      exhausted_cleanly = false;
-      break;
-    }
-    if (options.deadline.Expired()) {
-      // Anytime cut: keep the incumbent, flag the truncation.
-      exhausted_cleanly = false;
-      best.degraded = true;
-      break;
-    }
-    const PqEntry entry = open.top();
-    open.pop();
-    // Prune before paying for the LP: the stored bound is the parent's
-    // relaxation objective, an upper bound for this whole subtree. With
-    // best-first ordering this fires for everything left in the open list
-    // once the incumbent matches the best bound.
-    if (Covered(best, entry.bound, options.relative_gap)) {
-      ++best.nodes_pruned;
-      NodesPrunedCounter().Increment();
-      continue;
-    }
-    // Restore the base bounds, then replay this node's fixing chain —
-    // O(n) writes, no allocation.
-    work.upper = base_upper;
-    std::fill(work.lower.begin(), work.lower.end(), 0.0);
-    for (int id = entry.id; id >= 0;
-         id = arena[static_cast<size_t>(id)].parent) {
-      const FixRec& fix = arena[static_cast<size_t>(id)];
-      if (fix.var < 0) continue;  // root
-      if (fix.value == 0) {
-        work.upper[static_cast<size_t>(fix.var)] = 0.0;
-      } else {
-        work.lower[static_cast<size_t>(fix.var)] = 1.0;
-      }
-    }
-    ++best.nodes_explored;
-    NodesExpandedCounter().Increment();
-
-    PARINDA_ASSIGN_OR_RETURN(LpSolution relax, SolveLp(work));
-    if (!relax.feasible) continue;
-    if (Covered(best, relax.objective, options.relative_gap)) {
-      ++best.nodes_pruned;
-      NodesPrunedCounter().Increment();
-      continue;
-    }
-    int branch_var = -1;
-    if (IsIntegral(relax.values, &branch_var)) {
-      best.feasible = true;
-      best.objective = relax.objective;
-      for (int i = 0; i < n; ++i) {
-        best.values[i] = relax.values[i] > 0.5 ? 1 : 0;
-      }
-      continue;
-    }
-    if (entry.id == 0) {
-      TryRoundedIncumbent(mip.lp, relax.values, &best);
-    }
-    // Children inherit this relaxation's objective as their subtree bound.
-    const int down = static_cast<int>(arena.size());
-    arena.push_back(FixRec{branch_var, 0, entry.id});
-    open.push(PqEntry{relax.objective, next_seq++, down});
-    const int up = static_cast<int>(arena.size());
-    arena.push_back(FixRec{branch_var, 1, entry.id});
-    open.push(PqEntry{relax.objective, next_seq++, up});
-  }
-
-  best.proved_optimal = best.feasible && exhausted_cleanly;
-  return best;
-}
+/// Open-list entry (bound, sequence, arena id): best bound pops first; on
+/// equal bounds the most recently pushed child (the "round up" branch).
+using PqEntry = std::tuple<double, int64_t, int>;
 
 }  // namespace
 
 Result<MipSolution> SolveBinaryMip(const BinaryMip& mip,
                                    const MipOptions& options) {
-  if (options.incremental) return SolveIncremental(mip, options);
-  return SolveLegacy(mip, options);
+  static metrics::Counter& expanded =
+      metrics::Registry::Global().counter("solver.nodes_expanded");
+  static metrics::Counter& pruned =
+      metrics::Registry::Global().counter("solver.nodes_pruned");
+  const int n = mip.lp.num_vars();
+  MipSolution best;
+  best.values.assign(static_cast<size_t>(n), 0);
+  // Selecting nothing satisfies <= rows with nonnegative rhs (the shape of
+  // PARINDA's ILPs), so the all-zero assignment seeds the incumbent.
+  best.feasible = std::all_of(
+      mip.lp.constraints.begin(), mip.lp.constraints.end(),
+      [](const LinearProgram::Constraint& row) { return row.rhs >= 0.0; });
+  // True when the incumbent covers `bound` within the relative gap, so a
+  // subtree with that upper bound cannot improve it.
+  auto covered = [&](double bound) {
+    const bool hit = best.feasible &&
+                     bound <= best.objective + kIntEps +
+                                  std::fabs(best.objective) *
+                                      options.relative_gap;
+    if (hit) {
+      ++best.nodes_pruned;
+      pruned.Increment();
+    }
+    return hit;
+  };
+
+  // The one LP copy of the entire search. A node rewrites the bounds that
+  // differ from the previous node's (fix-to-0 sets upper = 0, fix-to-1 sets
+  // lower = 1) and re-optimises from the previous node's basis.
+  DualSimplex simplex(mip.lp);
+  std::vector<int> degree(static_cast<size_t>(n), 0);
+  for (const auto& row : mip.lp.constraints) {
+    for (const auto& [var, coeff] : row.terms) {
+      if (var >= 0 && var < n) ++degree[static_cast<size_t>(var)];
+    }
+  }
+  std::vector<int8_t> fixed(static_cast<size_t>(n));  // per node, -1 = free
+
+  std::vector<FixRec> arena = {FixRec{}};
+  std::priority_queue<PqEntry> open;
+  int64_t next_seq = 0;
+  open.emplace(std::numeric_limits<double>::infinity(), next_seq++, 0);
+  bool exhausted_cleanly = true;
+  while (!open.empty()) {
+    PARINDA_FAILPOINT("solver.bnb_node");
+    if (best.nodes_explored >= options.max_nodes ||
+        options.deadline.Expired()) {
+      // Anytime cut: keep the incumbent, flag the truncation.
+      exhausted_cleanly = false;
+      best.degraded = best.nodes_explored < options.max_nodes;
+      break;
+    }
+    const auto [bound, seq, node] = open.top();
+    open.pop();
+    // Prune before paying for the LP: the stored bound is the parent's
+    // relaxation objective, an upper bound for this whole subtree.
+    if (covered(bound)) continue;
+    ++best.nodes_explored;
+    expanded.Increment();
+    PARINDA_TRACE_SPAN("solver.node");
+    std::fill(fixed.begin(), fixed.end(), -1);
+    for (int id = node; id > 0; id = arena[static_cast<size_t>(id)].parent) {
+      const FixRec& fix = arena[static_cast<size_t>(id)];
+      fixed[static_cast<size_t>(fix.var)] = fix.value;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int8_t f = fixed[static_cast<size_t>(i)];
+      simplex.SetBounds(i, f == 1 ? 1.0 : mip.lp.LowerOf(i),
+                        f == 0 ? 0.0 : mip.lp.UpperOf(i));
+    }
+    PARINDA_ASSIGN_OR_RETURN(LpSolution relax, simplex.Solve());
+    // A pivot-capped LP bounds nothing: drop the subtree and the proof.
+    exhausted_cleanly = exhausted_cleanly && !relax.iteration_limited;
+    if (!relax.feasible || covered(relax.objective)) continue;
+    const int branch_var = ChooseBranch(relax.values, degree);
+    if (branch_var < 0) {
+      best.feasible = true;
+      best.objective = relax.objective;
+      for (int i = 0; i < n; ++i) best.values[i] = relax.values[i] > 0.5;
+      continue;
+    }
+    // Children inherit this relaxation's objective as their subtree bound.
+    for (const int8_t value : {0, 1}) {
+      const int child = static_cast<int>(arena.size());
+      open.emplace(relax.objective, next_seq++, child);
+      arena.push_back(FixRec{branch_var, value, node});
+    }
+  }
+  best.proved_optimal = best.feasible && exhausted_cleanly;
+  return best;
 }
 
 }  // namespace parinda

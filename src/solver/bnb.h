@@ -24,18 +24,10 @@ struct MipOptions {
   /// Accept the incumbent once the relative gap to the best bound is below
   /// this (0 = prove optimality).
   double relative_gap = 1e-6;
-  /// Time budget. When it expires the search stops and returns the best
-  /// incumbent so far with `degraded = true` (anytime behaviour). The
-  /// default infinite deadline never reads the clock, so un-budgeted solves
-  /// are bit-identical to a solver without this knob.
+  /// Time budget. On expiry the search returns the best incumbent so far
+  /// with `degraded = true` (anytime behaviour); the default infinite
+  /// deadline never reads the clock.
   Deadline deadline;
-  /// Incremental search (the default): one working LP shared by every node,
-  /// with fixings applied by mutating variable bounds in place — O(n) bound
-  /// writes per node instead of an LP copy — plus best-first node ordering
-  /// and a greedy rounded warm start. `false` selects the original
-  /// copy-per-node depth-first search (kept as the bench_scale ablation
-  /// arm). Both paths are exact and reach the same optimum.
-  bool incremental = true;
 };
 
 struct MipSolution {
@@ -47,16 +39,16 @@ struct MipSolution {
   double objective = 0.0;
   std::vector<int> values;  // 0/1 per variable
   int nodes_explored = 0;
-  /// Nodes discarded by the relaxation bound without being branched
-  /// (incremental mode also counts nodes pruned before their LP solve).
-  int nodes_pruned = 0;
+  int nodes_pruned = 0;  // cut by a relaxation bound, before or after its LP
 };
 
-/// Branch and bound with LP-relaxation bounds and most-fractional
-/// branching: best-first over one in-place-mutated LP by default, classic
-/// copy-per-node DFS behind `MipOptions::incremental = false`. Exact on the
-/// advisor's instance sizes. Exploration totals feed the
-/// `solver.nodes_expanded` / `solver.nodes_pruned` metrics.
+/// Best-first branch and bound over one warm DualSimplex (DESIGN.md §15).
+/// The LP is copied once per search; a node only rewrites variable bounds
+/// and re-optimises with dual pivots from the previous node's basis. It
+/// branches on the fractional variable in the most constraint rows (ties:
+/// the most fractional, then the lowest index). Exploration totals feed the
+/// `solver.nodes_expanded` / `solver.nodes_pruned` metrics and each expanded
+/// node is a `solver.node` trace span.
 [[nodiscard]] Result<MipSolution> SolveBinaryMip(const BinaryMip& mip,
                                    const MipOptions& options = {});
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/check.h"
+#include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "advisor/benefit_matrix.h"
 #include "advisor/candidates.h"
 #include "catalog/size_model.h"
@@ -229,6 +233,97 @@ TEST_F(IndexAdvisorTest, UsesInumCache) {
   ASSERT_TRUE(advice.ok());
   // Far fewer optimizer calls than cost estimates — the INUM effect.
   EXPECT_GT(advice->inum_estimates, advice->optimizer_calls);
+}
+
+TEST(IndexAdvisorRetryTest, PrepareRerunsCleanlyAfterAFailedRun) {
+  Database db;
+  SdssConfig config;
+  config.photoobj_rows = 3000;
+  ASSERT_TRUE(BuildSdssDatabase(&db, config).ok());
+  auto workload = MakeSdssWorkload(db.catalog());
+  ASSERT_TRUE(workload.ok());
+  IndexAdvisorOptions options;
+  options.parallelism = 1;
+
+  IndexAdvisor advisor(db.catalog(), *workload, options);
+  failpoint::Configure("advisor.matrix", failpoint::Mode::kError);
+  EXPECT_FALSE(advisor.SuggestWithIlp().ok());
+  failpoint::ClearAll();
+  // The same advisor rebuilds its pool instead of appending to the failed
+  // run's, whose entries pointed into the freed candidate set.
+  auto pool = advisor.Candidates();
+  ASSERT_TRUE(pool.ok());
+  auto retried = advisor.SuggestWithIlp();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+
+  IndexAdvisor fresh(db.catalog(), *workload, options);
+  auto fresh_pool = fresh.Candidates();
+  ASSERT_TRUE(fresh_pool.ok());
+  EXPECT_EQ(pool->size(), fresh_pool->size());
+  auto expected = fresh.SuggestWithIlp();
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(retried->indexes.size(), expected->indexes.size());
+  for (size_t s = 0; s < expected->indexes.size(); ++s) {
+    EXPECT_EQ(retried->indexes[s].def.name, expected->indexes[s].def.name);
+    EXPECT_EQ(retried->indexes[s].benefit, expected->indexes[s].benefit);
+    EXPECT_EQ(retried->indexes[s].used_by, expected->indexes[s].used_by);
+  }
+  EXPECT_EQ(retried->optimized_cost, expected->optimized_cost);
+  EXPECT_EQ(retried->per_query_optimized, expected->per_query_optimized);
+}
+
+/// The ILP advice for `workload` as index name -> size.
+std::map<std::string, double> IlpIndexSizes(const Database& db,
+                                            const Workload& workload,
+                                            double* optimized_cost) {
+  IndexAdvisorOptions options;
+  options.parallelism = 1;
+  IndexAdvisor advisor(db.catalog(), workload, options);
+  auto advice = advisor.SuggestWithIlp();
+  PARINDA_CHECK_OK(advice);
+  PARINDA_CHECK(advice->proved_optimal);
+  std::map<std::string, double> sizes;
+  for (const SuggestedIndex& index : advice->indexes) {
+    sizes[index.def.name] = index.size_bytes;
+  }
+  *optimized_cost = advice->optimized_cost;
+  return sizes;
+}
+
+void ExpectOrderIndependentAdvice(const Database& db, Workload workload) {
+  double cost = 0.0;
+  const std::map<std::string, double> sizes =
+      IlpIndexSizes(db, workload, &cost);
+  ASSERT_FALSE(sizes.empty());
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(testing::Message() << "order seed " << seed);
+    Random rng(seed);
+    for (int i = workload.size() - 1; i > 0; --i) {
+      std::swap(workload.queries[static_cast<size_t>(i)],
+                workload.queries[static_cast<size_t>(rng.UniformInt(0, i))]);
+    }
+    double permuted_cost = 0.0;
+    EXPECT_EQ(IlpIndexSizes(db, workload, &permuted_cost), sizes);
+    EXPECT_NEAR(permuted_cost, cost, 1e-9 * cost);
+  }
+}
+
+TEST(IlpOrderTest, SdssAdviceIndependentOfQueryOrder) {
+  Database db;
+  SdssConfig config;
+  config.photoobj_rows = 3000;
+  ASSERT_TRUE(BuildSdssDatabase(&db, config).ok());
+  auto workload = MakeSdssWorkload(db.catalog());
+  ASSERT_TRUE(workload.ok());
+  ExpectOrderIndependentAdvice(db, std::move(*workload));
+}
+
+TEST(IlpOrderTest, TpchMiniAdviceIndependentOfQueryOrder) {
+  Database db;
+  ASSERT_TRUE(BuildTpchMiniDatabase(&db, TpchMiniConfig{}).ok());
+  auto workload = MakeTpchMiniWorkload(db.catalog());
+  ASSERT_TRUE(workload.ok());
+  ExpectOrderIndependentAdvice(db, std::move(*workload));
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "common/metrics.h"
+#include "common/random.h"
 #include "solver/bnb.h"
 #include "solver/lp.h"
 
@@ -298,51 +301,51 @@ TEST(BnbTest, IncrementalSolverCopiesTheLpExactlyOnce) {
   const BinaryMip mip = HardKnapsack(32);
   metrics::Counter& copies =
       metrics::Registry::Global().counter("solver.lp_copies");
-
-  MipOptions incremental;
-  incremental.incremental = true;
-  const int64_t before_incremental = copies.value();
-  auto sol = SolveBinaryMip(mip, incremental);
-  const int64_t incremental_copies = copies.value() - before_incremental;
+  const int64_t before = copies.value();
+  auto sol = SolveBinaryMip(mip);
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->proved_optimal);
   EXPECT_GT(sol->nodes_explored, 1);
   // One working copy for the whole search, regardless of tree size: per-node
   // state is re-derived by bound writes, never by copying the LP.
-  EXPECT_EQ(incremental_copies, 1);
-
-  MipOptions legacy;
-  legacy.incremental = false;
-  const int64_t before_legacy = copies.value();
-  auto legacy_sol = SolveBinaryMip(mip, legacy);
-  const int64_t legacy_copies = copies.value() - before_legacy;
-  ASSERT_TRUE(legacy_sol.ok());
-  EXPECT_TRUE(legacy_sol->proved_optimal);
-  // The copy-per-node arm pays at least one LP copy per explored node.
-  EXPECT_GE(legacy_copies, legacy_sol->nodes_explored);
-  EXPECT_GT(legacy_copies, incremental_copies);
+  EXPECT_EQ(copies.value() - before, 1);
 }
 
-TEST(BnbTest, IncrementalAndLegacyAgreeOnTheOptimum) {
-  for (const int n : {16, 24, 40}) {
+TEST(BnbTest, HardKnapsackMatchesBruteForce) {
+  for (const int n : {16, 20}) {
     const BinaryMip mip = HardKnapsack(n);
-    MipOptions incremental;
-    incremental.incremental = true;
-    MipOptions legacy;
-    legacy.incremental = false;
-    auto a = SolveBinaryMip(mip, incremental);
-    auto b = SolveBinaryMip(mip, legacy);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(a->proved_optimal);
-    EXPECT_TRUE(b->proved_optimal);
-    // Both are exact; node orders differ, so only the optimum must match.
-    EXPECT_EQ(a->objective, b->objective) << "n=" << n;
-    // The incumbent satisfies every constraint.
+    auto sol = SolveBinaryMip(mip);
+    ASSERT_TRUE(sol.ok());
+    EXPECT_TRUE(sol->proved_optimal);
+    double best = 0.0;
+    for (int mask = 0; mask < (1 << n); ++mask) {
+      bool fits = true;
+      for (const auto& row : mip.lp.constraints) {
+        double lhs = 0.0;
+        for (const auto& [var, coeff] : row.terms) {
+          if ((mask >> var) & 1) lhs += coeff;
+        }
+        fits = fits && lhs <= row.rhs + 1e-9;
+      }
+      if (!fits) continue;
+      double value = 0.0;
+      for (int i = 0; i < n; ++i) {
+        if ((mask >> i) & 1) value += mip.lp.objective[static_cast<size_t>(i)];
+      }
+      best = std::max(best, value);
+    }
+    EXPECT_NEAR(sol->objective, best, 1e-6) << "n=" << n;
+    // The incumbent satisfies every constraint and scores its objective.
+    double value = 0.0;
+    for (int i = 0; i < n; ++i) {
+      value += mip.lp.objective[static_cast<size_t>(i)] *
+               sol->values[static_cast<size_t>(i)];
+    }
+    EXPECT_NEAR(value, sol->objective, 1e-6) << "n=" << n;
     for (const auto& row : mip.lp.constraints) {
       double lhs = 0.0;
       for (const auto& [var, coeff] : row.terms) {
-        lhs += coeff * a->values[static_cast<size_t>(var)];
+        lhs += coeff * sol->values[static_cast<size_t>(var)];
       }
       EXPECT_LE(lhs, row.rhs + 1e-6);
     }
@@ -352,7 +355,6 @@ TEST(BnbTest, IncrementalAndLegacyAgreeOnTheOptimum) {
 TEST(BnbTest, IncrementalExpiredDeadlineReturnsIncumbentDegraded) {
   const BinaryMip mip = HardKnapsack(24);
   MipOptions options;
-  options.incremental = true;
   options.deadline = Deadline::After(0.0);
   auto sol = SolveBinaryMip(mip, options);
   ASSERT_TRUE(sol.ok());
@@ -360,6 +362,85 @@ TEST(BnbTest, IncrementalExpiredDeadlineReturnsIncumbentDegraded) {
   EXPECT_TRUE(sol->degraded);
   EXPECT_FALSE(sol->proved_optimal);
   EXPECT_EQ(sol->nodes_explored, 0);
+}
+
+/// A random sparse LP with boxed variables, feasible at a random interior
+/// point; fixing variables can make it infeasible.
+LinearProgram RandomLp(Random* rng) {
+  LinearProgram lp;
+  const int n = 4 + static_cast<int>(rng->Uniform(20));
+  const int m = 2 + static_cast<int>(rng->Uniform(14));
+  std::vector<double> point;
+  for (int j = 0; j < n; ++j) {
+    lp.objective.push_back(rng->UniformDouble(-5.0, 20.0));
+    const double lower = rng->Bernoulli(0.7) ? 0.0 : rng->UniformDouble(-2, 2);
+    lp.lower.push_back(lower);
+    lp.upper.push_back(lower + rng->UniformDouble(0.5, 5.0));
+    point.push_back(rng->UniformDouble(lp.lower.back(), lp.upper.back()));
+  }
+  for (int i = 0; i < m; ++i) {
+    LinearProgram::Constraint row;
+    row.rhs = rng->UniformDouble(0.0, 2.0);
+    for (int j = 0; j < n; ++j) {
+      if (rng->Bernoulli(0.4)) {
+        row.terms.push_back({j, rng->UniformDouble(-3.0, 10.0)});
+        row.rhs += row.terms.back().second * point[static_cast<size_t>(j)];
+      }
+    }
+    lp.AddConstraint(std::move(row));
+  }
+  return lp;
+}
+
+TEST(DualSimplexTest, WarmResolvesMatchColdSolves) {
+  // Drift guard for the branch-and-bound's warm simplex: 2000 re-solves
+  // from the previous basis after random bound changes, each checked
+  // against a cold solve of the same LP.
+  int resolves = 0;
+  int infeasible = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Random rng(seed);
+    const LinearProgram base = RandomLp(&rng);
+    LinearProgram current = base;
+    DualSimplex warm(base);
+    for (int step = 0; step < 100; ++step) {
+      // Like a branch-and-bound node: the base box plus a few changed
+      // bounds, written over whatever the previous step left.
+      current.lower = base.lower;
+      current.upper = base.upper;
+      const int changes = static_cast<int>(rng.Uniform(4));
+      for (int c = 0; c < changes; ++c) {
+        const size_t j = rng.Uniform(base.objective.size());
+        double& lo = current.lower[j];
+        double& up = current.upper[j];
+        switch (rng.Uniform(3)) {
+          case 0: up = lo; break;  // fix at lower
+          case 1: lo = up; break;  // fix at upper
+          default: (rng.Bernoulli(0.5) ? lo : up) = rng.UniformDouble(lo, up);
+        }
+      }
+      for (size_t j = 0; j < base.objective.size(); ++j) {
+        warm.SetBounds(static_cast<int>(j), current.lower[j], current.upper[j]);
+      }
+      auto w = warm.Solve();
+      auto c = SolveLp(current);
+      ASSERT_TRUE(w.ok() && c.ok());
+      ASSERT_FALSE(w->iteration_limited || c->iteration_limited);
+      ASSERT_EQ(w->feasible, c->feasible) << "seed " << seed << " step " << step;
+      ++resolves;
+      if (!c->feasible) {
+        ++infeasible;
+        continue;
+      }
+      EXPECT_NEAR(w->objective, c->objective,
+                  1e-9 * std::max(1.0, std::fabs(c->objective)))
+          << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GE(resolves, 2000);
+  // The harness reaches both outcomes.
+  EXPECT_GT(infeasible, 0);
+  EXPECT_LT(infeasible, resolves);
 }
 
 }  // namespace

@@ -252,9 +252,13 @@ assert ratio >= 10.0, ratio
 assert speedup >= 5.0, speedup
 assert metrics["e10b.advice_identical"] == 1.0, metrics
 assert metrics["e10c.incremental_lp_copies"] == 1.0, metrics
+# E10d: every seeded query order of the 2000-query ILP advice is proved
+# optimal and picks the same index set.
+assert metrics["e10d.all_proved_optimal"] == 1.0, metrics
+assert metrics["e10d.same_index_set"] == 1.0, metrics
 assert metrics["peak_rss_bytes"] > 0, metrics
 print(f"--- scale: {ratio:.1f}x compression, {speedup:.1f}x pipeline "
-      f"speedup, advice identical, 1 LP copy")
+      f"speedup, advice identical, 1 LP copy, ILP advice order-independent")
 EOF
 else
   grep -q '"e10b.advice_identical": 1' /tmp/parinda_ci_scale.json
